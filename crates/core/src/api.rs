@@ -9,15 +9,13 @@ use std::any::Any;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lcws_metrics as metrics;
-use lcws_metrics::Counter;
 use parking_lot::Mutex;
 
+use crate::hb::shim::AtomicU32;
 use crate::job::HeapJob;
-use crate::sleep::{IdleAction, IdleBackoff, IdlePolicy};
-use crate::worker::{current_ctx, StealAttempt, WorkerCtx};
+use crate::worker::{current_ctx, Wait};
 
 /// Run `a` and `b` potentially in parallel, returning both results.
 ///
@@ -179,25 +177,8 @@ impl<'scope> Scope<'scope> {
                 crate::worker::wake_waiter(waiter);
             }
         });
-        // Deque overflow degrades gracefully: spawn semantics allow the
-        // task to run any time before the scope closes, so "immediately,
-        // inline on the spawner" is always a valid schedule. The job's own
-        // closure performs the panic bookkeeping and `pending` decrement,
-        // and the heap job frees itself — nothing leaks, nothing aborts.
-        // With growable rings this path is unreachable except under a
-        // faultpoints-forced failure or at MAX_DEQUE_CAPACITY (see
-        // WorkerCtx::join).
-        if unsafe { (*ctx).try_push_job(job) }.is_err() {
-            debug_assert!(
-                cfg!(feature = "faultpoints"),
-                "deque overflow without fault injection: growable rings \
-                 only report DequeFull when forced or at MAX_DEQUE_CAPACITY"
-            );
-            metrics::bump(Counter::OverflowInline);
-            crate::trace::record(crate::trace::EventKind::OverflowInline, 0);
-            // Safety: the failed push left us sole owner of the job.
-            unsafe { (*ctx).execute(job) };
-        }
+        // Safety: installed ctx pointers outlive the call on this thread.
+        unsafe { (*ctx).push_local_or_run(&[job]) };
     }
 
     fn record_panic(&self, payload: Box<dyn Any + Send + 'static>) {
@@ -222,40 +203,16 @@ where
     };
     let result = panic::catch_unwind(AssertUnwindSafe(|| f(&sc)));
     // Drain: help run work until every spawned task has completed. Spawned
-    // jobs sit in deques and cannot be abandoned even if `f` panicked.
-    // Fruitless helping escalates spin → yield → park; before parking the
-    // drain registers in the scope's waiter slot so the task performing the
-    // last `pending` decrement delivers a targeted wake (the timed backstop
-    // covers the residual registration race — see `crate::sleep`).
+    // jobs sit in deques and cannot be abandoned even if `f` panicked. A
+    // parked drain registers in the scope's waiter slot, so the task that
+    // performs the last `pending` decrement delivers a targeted wake.
     let ctx = current_ctx();
-    let mut backoff = IdleBackoff::new(if ctx.is_null() {
-        IdlePolicy::SpinOnly
+    let drained = || sc.pending.load(Ordering::Acquire) == 0;
+    if ctx.is_null() {
+        debug_assert!(drained(), "pending scope tasks require a pool");
     } else {
-        unsafe { (*ctx).idle_policy() }
-    });
-    while sc.pending.load(Ordering::Acquire) != 0 {
-        debug_assert!(!ctx.is_null(), "pending scope tasks require a pool");
-        match unsafe { help_one(&*ctx) } {
-            HelpOutcome::Ran => backoff.reset(),
-            HelpOutcome::Contended => {
-                // A steal lost its race on a non-empty victim: work exists,
-                // so stay hot instead of escalating toward a park.
-                metrics::bump(Counter::IdleIter);
-                backoff.reset();
-                std::hint::spin_loop();
-            }
-            HelpOutcome::Idle => {
-                metrics::bump(Counter::IdleIter);
-                match backoff.next() {
-                    IdleAction::Park => unsafe {
-                        sc.waiter.store((*ctx).index() as u32, Ordering::SeqCst);
-                        (*ctx).park_waiter(|| sc.pending.load(Ordering::Acquire) == 0);
-                        sc.waiter.store(crate::job::NO_WAITER, Ordering::SeqCst);
-                    },
-                    action => IdleBackoff::relax(action),
-                }
-            }
-        }
+        // Safety: installed ctx pointers outlive the call on this thread.
+        unsafe { (*ctx).wait_until(drained, Wait::Nested(&sc.waiter)) };
     }
     let task_panic = sc.panic.lock().take();
     match result {
@@ -266,32 +223,6 @@ where
             }
             value
         }
-    }
-}
-
-/// What one round of helping accomplished.
-enum HelpOutcome {
-    /// A task ran to completion.
-    Ran,
-    /// Nothing ran, but a steal aborted on a non-empty victim — work exists.
-    Contended,
-    /// Nothing visible anywhere.
-    Idle,
-}
-
-/// Try to acquire and run one task (local first, then steal).
-unsafe fn help_one(ctx: &WorkerCtx) -> HelpOutcome {
-    if let Some(job) = ctx.acquire_local() {
-        ctx.execute(job);
-        return HelpOutcome::Ran;
-    }
-    match ctx.steal_once() {
-        StealAttempt::Taken(job) => {
-            ctx.execute(job);
-            HelpOutcome::Ran
-        }
-        StealAttempt::Contended => HelpOutcome::Contended,
-        StealAttempt::NoWork => HelpOutcome::Idle,
     }
 }
 

@@ -133,28 +133,42 @@ impl AbpDeque {
             return Some(task);
         }
         // Zero or one task left: reset and possibly race thieves for it.
-        self.bot.store(0, Ordering::Relaxed);
+        // A thief may pair the old era's `top` with the new `bot`. On a
+        // wrapped era (`top` in the upper half of the index space) `bot = 0`
+        // would read as work ahead of `top` — a phantom steal of a stale
+        // slot if its CAS beat the era publish below — so there the bottom
+        // first parks at the old `top` (empty in either era) and drops to
+        // 0 only after the new era is published.
+        let wrapped = sdist(0, old_age.top) > 0;
+        self.bot
+            .store(if wrapped { old_age.top } else { 0 }, Ordering::Relaxed);
         // The reset opens a fresh tag era with `top = 0`; the push fast
         // path's cached bound must not carry over from the old era.
         self.ring.reset_top_bound();
         let new_age = old_age.reset();
-        if b1 == old_age.top {
+        // Failure ordering Relaxed: the loaded-on-failure value is
+        // discarded (only `is_ok` is tested), so it synchronizes nothing.
+        // Success stays SeqCst — the ABP argument orders this CAS against
+        // the owner fence/thief CAS in the SC total order.
+        let won = b1 == old_age.top && {
             metrics::record_cas();
-            // Failure ordering Relaxed: the loaded-on-failure value is
-            // discarded (only `is_ok` is tested), so it synchronizes
-            // nothing. Success stays SeqCst — the ABP argument orders this
-            // CAS against the owner fence/thief CAS in the SC total order.
-            if self
-                .age
+            self.age
                 .compare_exchange(old_age, new_age, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
-            {
-                metrics::bump(metrics::Counter::LocalPop);
-                trace::record(trace::EventKind::LocalPop, 0);
-                return Some(task);
-            }
+        };
+        if !won {
+            self.age.store(new_age, Ordering::Release);
         }
-        self.age.store(new_age, Ordering::Release);
+        if wrapped {
+            // Release: a thief that reads `bot = 0` also sees the new era,
+            // so its CAS against the old one fails.
+            self.bot.store(0, Ordering::Release);
+        }
+        if won {
+            metrics::bump(metrics::Counter::LocalPop);
+            trace::record(trace::EventKind::LocalPop, 0);
+            return Some(task);
+        }
         None
     }
 

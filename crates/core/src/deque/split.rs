@@ -190,9 +190,12 @@ impl SplitDeque {
         if fault::fail_at(Site::PushBottom) {
             return Err(DequeFull);
         }
+        // Acquire on the top refresh joins the thieves' Release steal CASes:
+        // their reads of the slots this push may reuse happen-before the
+        // overwrite.
         let buf = self
             .ring
-            .for_push(b, || self.age.load(Ordering::Relaxed).top)?;
+            .for_push(b, || self.age.load(Ordering::Acquire).top)?;
         hb::on_write(buf.slot(b) as *const _ as usize, "split slot (push_bottom)");
         buf.slot(b).store(task, Ordering::Relaxed);
         self.bot.store(b.wrapping_add(1), Ordering::Relaxed);
@@ -294,7 +297,11 @@ impl SplitDeque {
         // read an up-to-date `age`.
         shim::fence_seq_cst();
         let task = self.ring.owner().slot(pb).load(Ordering::Relaxed);
-        let old_age = self.age.load(Ordering::Relaxed);
+        // Acquire: the era reset below lets pushes reuse every slot, so the
+        // thieves' reads behind `top` must happen-before (their Release
+        // steal CASes; a CAS that lands after this read fails ours, whose
+        // failure side acquires it).
+        let old_age = self.age.load(Ordering::Acquire);
         if sdist(pb, old_age.top) > 0 {
             // More than one public task remained: the bottom-most one is
             // ours without contention. Private part is empty here (this
@@ -309,7 +316,16 @@ impl SplitDeque {
         // reset the deque and fight for the task with a CAS. A delay here
         // (between the two fences) widens the owner-vs-thief CAS race.
         fault::point(Site::PopPublicBottom);
-        self.bot.store(0, Ordering::Relaxed);
+        // On a wrapped era (`top` in the upper half of the index space) an
+        // index reset to 0 reads as work ahead of the old `top`: a thief
+        // pairing the old era with `public_bot = 0`, or the expose handler
+        // pairing `bot = 0` with the old `public_bot`, would take or
+        // publish stale slots. There both indices keep their old-era values
+        // (empty in either era) until the new era is published below.
+        let wrapped = sdist(0, old_age.top) > 0;
+        if !wrapped {
+            self.bot.store(0, Ordering::Relaxed);
+        }
         // The reset opens a fresh tag era with `top = 0`; the push fast
         // path's cached bound must not carry over from the old era.
         self.ring.reset_top_bound();
@@ -321,12 +337,15 @@ impl SplitDeque {
         // the new `age` with a stale (larger) `public_bot` and steal a
         // *private* new-era slot. The SC fences don't close that window
         // for thieves (they carry no fence); the Release/Acquire chain
-        // through `age` does, by write-read coherence.
-        self.public_bot.store(0, Ordering::Release);
+        // through `age` does, by write-read coherence. (On a wrapped era
+        // the stale `public_bot` reads as empty in the new era instead.)
+        if !wrapped {
+            self.public_bot.store(0, Ordering::Release);
+        }
         let won = if local_bot == old_age.top {
             metrics::record_cas();
             self.age
-                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Relaxed)
+                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Acquire)
                 .is_ok()
         } else {
             false
@@ -342,6 +361,12 @@ impl SplitDeque {
             self.age.store(new_age, Ordering::Release);
             None
         };
+        if wrapped {
+            // `public_bot` first: in between, the handler sees an old-era
+            // `bot` above a new-era `public_bot`, which reads as empty.
+            self.public_bot.store(0, Ordering::Release);
+            self.bot.store(0, Ordering::Relaxed);
+        }
         // Fence #2 (Listing 2 line 27): thieves must not observe the new
         // `age` together with the old `public_bot`, which could double-run
         // a task.
@@ -379,9 +404,11 @@ impl SplitDeque {
                 return Steal::Abort;
             }
             metrics::record_cas();
+            // Success Release orders the slot read before the owner's
+            // eventual reuse of the slot (the owner acquires `age`).
             if self
                 .age
-                .compare_exchange(old_age, new_age, Ordering::Relaxed, Ordering::Relaxed)
+                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Relaxed)
                 .is_ok()
             {
                 hb::commit_read(pending);
@@ -478,7 +505,7 @@ impl SplitDeque {
             metrics::record_cas();
             if self
                 .age
-                .compare_exchange(old_age, new_age, Ordering::Relaxed, Ordering::Relaxed)
+                .compare_exchange(old_age, new_age, Ordering::Release, Ordering::Relaxed)
                 .is_ok()
             {
                 for pend in pending.iter_mut().take(k) {

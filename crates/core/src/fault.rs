@@ -102,7 +102,8 @@ pub enum Site {
     /// again between the slot copy and the new-buffer publish — delays at
     /// that second hit stretch the resize window thieves race against.
     DequeResize = 11,
-    /// Top of each helper's `work_until` iteration. Failable: a forced
+    /// Top of each iteration of the helper generation loop
+    /// (`WorkerCtx::wait_until` with `Wait::Generation`). Failable: a forced
     /// fire panics the helper thread, killing it mid-run — the
     /// deterministic worker-death injector behind the supervision chaos
     /// tests. The probe sits *before* local acquisition, where the helper

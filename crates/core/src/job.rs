@@ -96,18 +96,11 @@ impl Job {
         waiter
     }
 
-    /// Register worker `index` for a targeted wake when this job completes.
-    /// SeqCst so the store orders with the sleeper-mask announcement that
-    /// follows in `park` (see `crate::sleep` for the pairing argument).
+    /// The completion-wake registration slot a waiter parks behind (see
+    /// `crate::worker::Wait::Nested`).
     #[inline]
-    pub(crate) fn set_waiter(&self, index: u32) {
-        self.waiter.store(index, Ordering::SeqCst);
-    }
-
-    /// Withdraw a completion-wake registration.
-    #[inline]
-    pub(crate) fn clear_waiter(&self) {
-        self.waiter.store(NO_WAITER, Ordering::SeqCst);
+    pub(crate) fn waiter(&self) -> &AtomicU32 {
+        &self.waiter
     }
 
     /// Intrusive injector link (crate-internal; used only while the job

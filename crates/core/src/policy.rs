@@ -13,7 +13,7 @@
 //! returns the composition each one denotes), while
 //! [`crate::PoolBuilder::policies`] accepts any *sound* bundle — e.g. the
 //! base signal scheduler with near-first victim order, or Expose Half with
-//! single-task steals. Soundness is checked by [`Policies::validate`]:
+//! batch steals. Soundness is checked by [`Policies::validate`]:
 //! the §4 pop-bottom rule and the deque/notification pairing are
 //! constraints *between* axes, and an unsound bundle (say, asynchronous
 //! unconstrained exposure over the standard `pop_bottom`) would reintroduce
@@ -76,7 +76,9 @@ pub enum StealAmount {
     /// `SplitDeque::STEAL_BATCH_MAX`) with one validating age CAS; the
     /// thief keeps the oldest and requeues the surplus into its own deque,
     /// where it is immediately re-stealable. Pays off when Expose Half
-    /// publishes whole runs of tasks at once.
+    /// publishes whole runs of tasks at once. Only the helper generation
+    /// loop takes batches: a worker waiting on a join, scope or handle
+    /// steals one task, so it never deposits work under a pending join.
     Half,
 }
 
@@ -198,8 +200,9 @@ impl Policies {
     }
 
     /// Expose Half (§4.1.2): signal-driven exposure of `round(r/2)` tasks,
-    /// paired with batch steals — the whole point of publishing a run of
-    /// tasks is that thieves can take several per CAS.
+    /// stolen one per CAS as in the paper. Batch steals of the published
+    /// run are the explicit `steal-half` modifier (`steal:
+    /// StealAmount::Half`), not part of the named scheduler.
     pub const fn signal_half() -> Policies {
         Policies {
             deque: DequeKind::Split,
@@ -207,7 +210,7 @@ impl Policies {
             exposure: ExposurePolicy::Half,
             pop_bottom: PopBottomMode::SignalSafe,
             victim: VictimSelection::Uniform,
-            steal: StealAmount::Half,
+            steal: StealAmount::One,
             idle: IdlePolicy::Adaptive,
         }
     }
@@ -269,11 +272,9 @@ impl Policies {
 }
 
 impl Variant {
-    /// The policy composition this variant denotes. Every predicate on
-    /// `Variant` (`uses_split_deque`, `pop_bottom_mode`, …) is derived from
-    /// this bundle, so a pool built from `PoolBuilder::new(v)` and one
-    /// built from `PoolBuilder::new(v).policies(v.policies())` are
-    /// bit-identical.
+    /// The policy composition this variant denotes: a pool built from
+    /// `PoolBuilder::new(v)` and one built from
+    /// `PoolBuilder::new(v).policies(v.policies())` are bit-identical.
     pub fn policies(self) -> Policies {
         match self {
             Variant::Ws => Policies::ws(),
@@ -298,15 +299,41 @@ mod tests {
         }
     }
 
+    /// The named compositions are exactly the paper's schedulers, axis by
+    /// axis; every extension (near-first victims, batch steals, spin-only
+    /// idling) is an explicit modifier on top of them.
     #[test]
-    fn variant_predicates_match_policies() {
-        for v in Variant::ALL {
+    fn named_bundles_are_the_papers_schedulers() {
+        use DequeKind::{Abp, Split};
+        use ExposurePolicy as E;
+        use NotifyChannel as N;
+        use PopBottomMode as P;
+        use Variant::*;
+        let paper = [
+            (Ws, Abp, N::None, E::One, P::Standard),
+            (UsLcws, Split, N::Flag, E::One, P::Standard),
+            (Signal, Split, N::Signal, E::One, P::SignalSafe),
+            (
+                SignalConservative,
+                Split,
+                N::Signal,
+                E::Conservative,
+                P::Standard,
+            ),
+            (SignalHalf, Split, N::Signal, E::Half, P::SignalSafe),
+        ];
+        for (v, deque, notify, exposure, pop_bottom) in paper {
             let p = v.policies();
-            assert_eq!(v.uses_split_deque(), p.uses_split_deque(), "{v}");
-            assert_eq!(v.uses_signals(), p.uses_signals(), "{v}");
-            assert_eq!(v.polls_fallback_flag(), p.polls_fallback_flag(), "{v}");
-            assert_eq!(v.pop_bottom_mode(), p.pop_bottom, "{v}");
-            assert_eq!(v.exposure_policy(), p.exposure, "{v}");
+            assert_eq!(p.deque, deque, "{v}: deque");
+            assert_eq!(p.notify, notify, "{v}: notification channel");
+            assert_eq!(p.exposure, exposure, "{v}: exposure amount");
+            assert_eq!(p.pop_bottom, pop_bottom, "{v}: pop_bottom flavour");
+            assert_eq!(p.victim, VictimSelection::Uniform, "{v}: victim order");
+            assert_eq!(p.steal, StealAmount::One, "{v}: one task per steal CAS");
+            assert_eq!(p.idle, IdlePolicy::Adaptive, "{v}: idle policy");
+            assert_eq!(p.uses_split_deque(), deque == Split, "{v}");
+            assert_eq!(p.uses_signals(), notify == N::Signal, "{v}");
+            assert_eq!(p.polls_fallback_flag(), notify == N::Signal, "{v}");
         }
     }
 

@@ -82,7 +82,7 @@ extern "C" fn expose_handler(
     unsafe {
         metrics::bump(metrics::Counter::ExposureRequest);
         let exposed = (*(*ctx).deque).update_public_bottom((*ctx).policy);
-        trace::record(trace::EventKind::HandlerExpose, exposed as u32);
+        trace::record(trace::EventKind::HandlerExpose, exposed);
         // Exposed work could feed a parked thief, but waking from a signal
         // handler is forbidden (see `HandlerCtx::wake_pending`): record the
         // event with a plain atomic store and let the owner wake.

@@ -492,13 +492,13 @@ impl Trace {
     /// [`EventKind::SignalSend`] paired with the victim's next
     /// [`EventKind::HandlerEntry`], in nanoseconds.
     ///
-    /// Pairing walks the time-ordered stream keeping a FIFO of unmatched
-    /// sends per victim: a [`EventKind::SignalSendFailed`] cancels that
-    /// thief's pending send (the retry loop is synchronous, so a thief has
-    /// at most one in flight), and a handler entry consumes the oldest
-    /// pending send. Sends left unmatched at the end are coalesced signals
-    /// (the OS merges a `SIGUSR1` sent while one is already pending) and
-    /// produce no sample.
+    /// Pairing walks the time-ordered stream keeping the unmatched sends
+    /// per victim: a [`EventKind::SignalSendFailed`] cancels that thief's
+    /// pending send (the retry loop is synchronous, so a thief has at most
+    /// one in flight), and a handler entry answers *every* send pending on
+    /// its victim — the OS merges a `SIGUSR1` sent while one is already
+    /// pending, so one delivery serves them all. Sends still pending at
+    /// the end of the trace produce no sample.
     pub fn signal_latencies_ns(&self) -> Vec<u64> {
         let mut pending: std::collections::HashMap<u32, Vec<(u64, u16)>> =
             std::collections::HashMap::new();
@@ -519,11 +519,8 @@ impl Trace {
                     }
                 }
                 EventKind::HandlerEntry => {
-                    if let Some(q) = pending.get_mut(&(e.worker as u32)) {
-                        if !q.is_empty() {
-                            let (sent, _) = q.remove(0);
-                            out.push(e.ts_ns.saturating_sub(sent));
-                        }
+                    for (sent, _) in pending.remove(&(e.worker as u32)).unwrap_or_default() {
+                        out.push(e.ts_ns.saturating_sub(sent));
                     }
                 }
                 _ => {}
@@ -621,6 +618,26 @@ mod tests {
             dropped: 0,
         };
         assert_eq!(t.signal_latencies_ns(), vec![300, 400]);
+    }
+
+    #[test]
+    fn merged_sends_are_all_answered_by_one_handler_entry() {
+        // Thieves 1 and 2 signal victim 0 back to back; the OS merges the
+        // two SIGUSR1s into one delivery, which answers both. A later
+        // send/entry pair must then pair with each other, not with a
+        // leftover from the merge.
+        let t = Trace {
+            events: vec![
+                ev(100, 1, EventKind::SignalSend, 0),
+                ev(150, 2, EventKind::SignalSend, 0),
+                ev(400, 0, EventKind::HandlerEntry, 0),
+                ev(1_000, 1, EventKind::SignalSend, 0),
+                ev(1_200, 0, EventKind::HandlerEntry, 0),
+            ],
+            workers: 3,
+            dropped: 0,
+        };
+        assert_eq!(t.signal_latencies_ns(), vec![300, 250, 200]);
     }
 
     #[test]

@@ -688,10 +688,16 @@ fn batch_steal_ledger_balances_under_cas_storm() {
     let guard =
         install(FaultPlan::new(0xBA7C4).with(Site::PopTop, SiteAction::fail_always().one_in(3)));
 
-    // Pool section: the storm hits the batch CAS window of a SignalHalf
-    // run; aborts retry hot, and nothing may be lost or doubled.
+    // Pool section: the storm hits the batch CAS window of an Expose Half
+    // run with batch steals; aborts retry hot, and nothing may be lost or
+    // doubled.
     let (executed, m) = run_with_timeout(60, || {
-        let pool = PoolBuilder::new(Variant::SignalHalf).threads(4).build();
+        let mut p = lcws_core::Policies::signal_half();
+        p.steal = lcws_core::StealAmount::Half;
+        let pool = PoolBuilder::new(Variant::SignalHalf)
+            .policies(p)
+            .threads(4)
+            .build();
         let executed = AtomicU64::new(0);
         let (_, m) = pool.run_measured(|| {
             scope(|s| {

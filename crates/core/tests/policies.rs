@@ -6,7 +6,7 @@
 //! criterion on a skewed workload.
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use lcws_core::{
@@ -177,13 +177,24 @@ fn near_first_victims_sustain_a_steal_heavy_run() {
         .threads(4)
         .build();
     let executed = AtomicU64::new(0);
+    let stolen = AtomicBool::new(false);
     let (_, snap) = pool.run_measured(|| {
         scope(|s| {
             for _ in 0..TASKS {
                 s.spawn(|| {
+                    if lcws_core::worker_index() != Some(0) {
+                        stolen.store(true, Ordering::Relaxed);
+                    }
                     executed.fetch_add(1, Ordering::Relaxed);
                     busy_for(Duration::from_micros(2));
                 });
+            }
+            // Hold the root's tasks until a thief has run one (or 1 s has
+            // passed): on a loaded host the thieves may otherwise first get
+            // a CPU after the root drained every task alone.
+            let deadline = Instant::now() + Duration::from_secs(1);
+            while !stolen.load(Ordering::Relaxed) && Instant::now() < deadline {
+                std::hint::spin_loop();
             }
         });
     });
@@ -205,8 +216,15 @@ fn near_first_victims_sustain_a_steal_heavy_run() {
 fn expose_half_batches_transfer_more_than_one_task_per_cas() {
     const TASKS: u64 = 3_000;
     let mut best = (0u64, 0u64);
+    // Batch steals are the explicit `steal-half` modifier; the named Expose
+    // Half scheduler steals one task per CAS, as in the paper.
+    let mut p = Policies::signal_half();
+    p.steal = StealAmount::Half;
     for _attempt in 0..25 {
-        let pool = PoolBuilder::new(Variant::SignalHalf).threads(4).build();
+        let pool = PoolBuilder::new(Variant::SignalHalf)
+            .policies(p)
+            .threads(4)
+            .build();
         let executed = AtomicU64::new(0);
         let (_, snap) = pool.run_measured(|| {
             scope(|s| {

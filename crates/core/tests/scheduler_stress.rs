@@ -2,9 +2,12 @@
 //! panic containment, signal storms during long sequential tasks, and deep
 //! nesting.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
-use lcws_core::{join, par_for_grain, scope, PoolBuilder, ThreadPool, Variant};
+use lcws_core::{
+    join, par_for_grain, scope, Policies, PoolBuilder, StealAmount, ThreadPool, Variant,
+};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -28,8 +31,20 @@ fn all_variants_compute_fib_identically() {
 #[test]
 fn par_for_touches_every_index_once_under_steal_pressure() {
     const N: usize = 50_000;
-    for variant in Variant::ALL {
-        let pool = ThreadPool::new(variant, 4);
+    // Every named scheduler, plus Expose Half with batch steals: the
+    // composition whose nested waits once deposited batch surplus under a
+    // pending join.
+    let mut half_batch = Policies::signal_half();
+    half_batch.steal = StealAmount::Half;
+    let compositions = Variant::ALL
+        .map(|v| (v, v.policies()))
+        .into_iter()
+        .chain([(Variant::SignalHalf, half_batch)]);
+    for (variant, policies) in compositions {
+        let pool = PoolBuilder::new(variant)
+            .policies(policies)
+            .threads(4)
+            .build();
         let hits: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
         pool.run(|| {
             // Tiny grain maximizes task count and steal pressure.
@@ -43,7 +58,8 @@ fn par_for_touches_every_index_once_under_steal_pressure() {
             .find(|(_, h)| h.load(Ordering::Relaxed) != 1);
         assert!(
             bad.is_none(),
-            "variant {variant}: index {:?} executed {:?} times",
+            "variant {variant} ({:?} steals): index {:?} executed {:?} times",
+            policies.steal,
             bad.map(|(i, _)| i),
             bad.map(|(_, h)| h.load(Ordering::Relaxed)),
         );
@@ -85,17 +101,29 @@ fn long_sequential_task_gets_work_exposed_mid_task() {
         Variant::SignalHalf,
     ] {
         let pool = ThreadPool::new(variant, 4);
+        let stolen = AtomicBool::new(false);
         let ((_, b), metrics) = pool.run_measured(|| {
             join(
                 || {
-                    // Long sequential "task": no scheduler interaction.
+                    // Long sequential "task": no scheduler interaction. It
+                    // lasts until a thief has run the sibling (or 1 s has
+                    // passed), so a host slow to schedule the thieves
+                    // cannot end it before any of them looked.
+                    let deadline = Instant::now() + Duration::from_secs(1);
                     let mut acc = 1u64;
-                    for i in 0..3_000_000u64 {
-                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+                    loop {
+                        for i in 0..3_000_000u64 {
+                            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+                        }
+                        if stolen.load(Ordering::Acquire) || Instant::now() > deadline {
+                            break acc;
+                        }
                     }
-                    acc
                 },
-                || 7u64,
+                || {
+                    stolen.store(true, Ordering::Release);
+                    7u64
+                },
             )
         });
         assert_eq!(b, 7, "variant {variant}");

@@ -4,7 +4,7 @@
 //! count of workers starved by a long sequential task.
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use lcws_core::{scope, Counter, IdlePolicy, PoolBuilder, Variant};
@@ -132,12 +132,21 @@ fn adaptive_idle_cuts_idle_iters_10x_on_sequential_task() {
 #[test]
 fn join_completion_wake_is_targeted_not_polled() {
     let pool = PoolBuilder::new(Variant::Ws).threads(2).build();
+    let stolen = AtomicBool::new(false);
     let (_, snap) = pool.run_measured(|| {
         lcws_core::join(
-            // Keep the owner busy long enough for the idle helper to steal
-            // the 80ms arm, so the owner must *wait* for a thief.
-            || busy_for(Duration::from_millis(5)),
-            || std::thread::sleep(Duration::from_millis(80)),
+            // Keep the owner busy until the idle helper has stolen the 80ms
+            // arm (or 1 s has passed), so the owner must *wait* for a thief.
+            || {
+                let deadline = Instant::now() + Duration::from_secs(1);
+                while !stolen.load(Ordering::Acquire) && Instant::now() < deadline {
+                    std::hint::spin_loop();
+                }
+            },
+            || {
+                stolen.store(true, Ordering::Release);
+                std::thread::sleep(Duration::from_millis(80))
+            },
         );
     });
     assert!(
@@ -157,8 +166,8 @@ fn join_completion_wake_is_targeted_not_polled() {
 }
 
 /// Regression (this PR's headline bugfix): `JoinHandle::join` from *inside*
-/// a pool worker goes through `help_until`, which used to park under the
-/// plain 1ms backstop with no targeted completion wake — the task's
+/// a pool worker goes through the worker's wait loop, which used to park
+/// under the plain 1ms backstop with no targeted completion wake — the task's
 /// completer had nowhere to record who was waiting, so a worker joining an
 /// 80ms spawned task burned ~80 spurious backstop expiries polling `done`.
 /// `TaskState` now carries a waiter slot mirroring `Job::waiter` (PR 8):
