@@ -222,6 +222,46 @@ fn drop_with_open_serve_window_drains() {
     assert_eq!(executed.load(Ordering::Relaxed), 50);
 }
 
+/// `shutdown` seats its caller as worker 0, so it must refuse a thread
+/// already inside a pool run — before touching the window, which stays
+/// open and drains normally afterwards.
+#[test]
+fn shutdown_inside_a_pool_run_panics_and_keeps_the_window() {
+    let served = ThreadPool::new(Variant::Signal, 2);
+    let other = ThreadPool::new(Variant::Ws, 2);
+    served.serve();
+    let before = served.spawn(|| 5);
+    let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+        other.run(|| {
+            served.shutdown();
+        })
+    }));
+    assert!(caught.is_err(), "shutdown inside a pool run must panic");
+    let after = served.spawn(|| 6);
+    served.shutdown();
+    assert_eq!(before.join() + after.join(), 11);
+    // The refused call left the other pool usable too.
+    assert_eq!(other.run(|| 3), 3);
+}
+
+/// Dropping a serving pool on a thread inside another pool's run cannot
+/// seat that thread as worker 0; the drop must still drain the window.
+#[test]
+fn drop_with_open_serve_window_inside_a_pool_run_drains() {
+    let executed = Arc::new(AtomicU64::new(0));
+    let pool = ThreadPool::new(Variant::Signal, 2);
+    pool.serve();
+    for _ in 0..50 {
+        let executed = Arc::clone(&executed);
+        drop(pool.spawn(move || {
+            executed.fetch_add(1, Ordering::Relaxed);
+        }));
+    }
+    let other = ThreadPool::new(Variant::Ws, 2);
+    other.run(move || drop(pool));
+    assert_eq!(executed.load(Ordering::Relaxed), 50);
+}
+
 /// Regression (this PR): a worker draining an injector batch re-queues the
 /// tail tasks into its own deque, and used to fire one `wake_one` *per*
 /// re-queued task — a stampede of redundant notifications under external

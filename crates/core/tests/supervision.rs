@@ -10,8 +10,8 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use lcws_core::{join, par_for_grain, PoolBuilder, Variant};
 
@@ -92,6 +92,44 @@ fn watchdog_silent_on_healthy_runs() {
             assert_eq!(pool.run(|| join(|| 1, || 2)), (1, 2));
         }
         assert_eq!(pool.stall_reports(), 0);
+    });
+}
+
+/// Watchdog over `shutdown`'s drain: a spawned task wedged on a helper
+/// past the timeout must draw a stall report while the caller waits for
+/// it, and the drain must still finish once the task returns.
+#[test]
+fn stall_watchdog_reports_a_wedged_shutdown_drain() {
+    let _g = lock();
+    run_with_timeout(60, || {
+        let pool = Arc::new(
+            PoolBuilder::new(Variant::Ws)
+                .threads(2)
+                .stall_timeout(Duration::from_millis(5))
+                .build(),
+        );
+        pool.serve();
+        let (started_tx, started_rx) = mpsc::channel();
+        let watched = Arc::clone(&pool);
+        let wedged = pool.spawn(move || {
+            started_tx
+                .send(())
+                .expect("test thread waits for the start");
+            // Wedged until the drain has reported (bounded, so a missing
+            // report fails the assertion below instead of hanging).
+            let t = Instant::now();
+            while watched.stall_reports() == 0 && t.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        // The helper holds the task before the caller starts draining.
+        started_rx.recv().expect("the helper runs the task");
+        pool.shutdown();
+        wedged.join();
+        assert!(
+            pool.stall_reports() >= 1,
+            "a 5ms watchdog must report a drain wedged on a running task"
+        );
     });
 }
 
